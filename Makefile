@@ -27,7 +27,7 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# The fast-path measurements (admission cache, sharded dispatch,
+# The fast-path measurements (admission cache, batched dispatch,
 # batched dataplane); writes the JSON report described in
 # docs/FORMATS.md §8.
 bench-fast:
@@ -50,7 +50,7 @@ bench-admission:
 	$(GO) run ./cmd/innet-bench -quick -only admission -admission-json BENCH_admission.json
 
 # Compiled run-to-completion pipeline vs graph-walk dispatch (burst
-# sweep + 1/2/4/8 worker engine sweep); writes BENCH_pipeline.json
+# sweep); writes BENCH_pipeline.json
 # (docs/FORMATS.md §13).
 bench-pipeline:
 	$(GO) run ./cmd/innet-bench -quick -pipeline -pipeline-json BENCH_pipeline.json
@@ -81,7 +81,8 @@ smoke-telemetry:
 	./scripts/smoke_telemetry.sh
 
 # Fail when a registered metric name breaks the innet_[a-z0-9_]+
-# convention or is missing from the docs/FORMATS.md §9 metrics table.
+# convention or is missing from the docs/FORMATS.md §9 metrics table,
+# or when the table documents a name the code does not register.
 lint-metrics:
 	./scripts/lint_metrics.sh
 

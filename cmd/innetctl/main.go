@@ -241,8 +241,7 @@ func health(c *api.Client) error {
 		}
 	}
 	if p := h.Pipeline; p != nil {
-		fmt.Printf("pipeline: workers=%d compiled=%d fallback=%d\n",
-			p.Workers, p.Compiled, p.Fallback)
+		fmt.Printf("pipeline: compiled=%d fallback=%d\n", p.Compiled, p.Fallback)
 		reasons := make([]string, 0, len(p.Reasons))
 		for r := range p.Reasons {
 			reasons = append(reasons, r)

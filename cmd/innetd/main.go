@@ -105,8 +105,6 @@ func run() int {
 			"per-element memo capacity in entries (0 = default, negative = disabled)")
 		wholesaleInvalidation = flag.Bool("wholesale-invalidation", false,
 			"invalidate the whole admission cache on every topology mutation instead of delta re-verification")
-		pipelineWorkers = flag.Int("pipeline-workers", 1,
-			"run-to-completion pipeline workers per compiled module dataplane (rounded up to a power of two)")
 		traceEvery = flag.Int("trace-every", telemetry.DefaultTraceEvery,
 			"per-flow path-trace sampling: trace one flow in every N through each module's dataplane (negative disables; a module's own trace_every overrides)")
 		eventRing = flag.Int("event-ring", telemetry.DefaultEventRing,
@@ -135,7 +133,6 @@ func run() int {
 		AdmissionWorkers:         *admissionWorkers,
 		ElementMemo:              *elementMemo,
 		WholesaleInvalidation:    *wholesaleInvalidation,
-		PipelineWorkers:          *pipelineWorkers,
 	}
 
 	replRole, err := parseRole(*role)

@@ -104,7 +104,6 @@ type HealthResponse struct {
 
 // PipelineInfo is the compiled-dataplane slice of GET /v1/health.
 type PipelineInfo struct {
-	Workers  int            `json:"workers"`
 	Compiled int            `json:"compiled"`
 	Fallback int            `json:"fallback"`
 	Reasons  map[string]int `json:"reasons,omitempty"`

@@ -44,6 +44,16 @@ type Server struct {
 	// timed-out worker's outcome has been discarded.
 	testSlowDeploy   func()
 	testRollbackDone func()
+	// testAfterKill, when set, runs in DELETE between the controller's
+	// Kill and the simulator's Unregister.
+	testAfterKill func()
+
+	// simMu keeps the controller's address bookkeeping and the
+	// simulator's in step: DELETE holds it across Kill and Unregister,
+	// POST across admission and Register (or the Kill that rolls a
+	// failed Register back). Without it a POST could be handed an
+	// address Kill had just freed while the simulator still held it.
+	simMu sync.Mutex
 
 	// mu guards rollbackErr: the first deploy-timeout rollback whose
 	// Kill failed, leaving a zombie deployment the client was told was
@@ -381,7 +391,7 @@ func (s *Server) modules(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		dep, reused, err := s.deployBounded(controller.Request{
+		dep, reused, err := s.admit(controller.Request{
 			Tenant:       req.Tenant,
 			ModuleName:   req.ModuleName,
 			Config:       req.Config,
@@ -407,13 +417,6 @@ func (s *Server) modules(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, status, err)
 			return
 		}
-		if s.sim != nil && !reused {
-			if err := s.sim.Register(dep); err != nil {
-				_ = s.ctl.Kill(dep.ID)
-				writeErr(w, http.StatusInternalServerError, err)
-				return
-			}
-		}
 		// A reused deployment (idempotent replay of a request the
 		// controller already admitted, e.g. a client retrying across a
 		// failover) answers 200 instead of 201.
@@ -432,6 +435,42 @@ func (s *Server) modules(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
+}
+
+// admit runs one bounded admission and registers a new deployment on
+// the attached simulator, killing it again if that fails. It holds
+// simMu throughout (see Server.simMu); admission already serializes
+// on the controller lock, so this adds no contention.
+func (s *Server) admit(req controller.Request) (*controller.Deployment, bool, error) {
+	s.simMu.Lock()
+	defer s.simMu.Unlock()
+	dep, reused, err := s.deployBounded(req)
+	if err != nil || reused || s.sim == nil {
+		return dep, reused, err
+	}
+	if err := s.sim.Register(dep); err != nil {
+		_ = s.ctl.Kill(dep.ID)
+		return nil, false, err
+	}
+	return dep, false, nil
+}
+
+// kill kills a deployment and unregisters it from the attached
+// simulator as one step under simMu.
+func (s *Server) kill(id string) error {
+	s.simMu.Lock()
+	defer s.simMu.Unlock()
+	dep, ok := s.ctl.Get(id)
+	if err := s.ctl.Kill(id); err != nil {
+		return err
+	}
+	if s.testAfterKill != nil {
+		s.testAfterKill()
+	}
+	if s.sim != nil && ok {
+		s.sim.Unregister(dep)
+	}
+	return nil
 }
 
 var errDeployTimeout = errors.New("admission timed out; the request was abandoned and any late placement is rolled back")
@@ -519,8 +558,7 @@ func (s *Server) moduleByID(w http.ResponseWriter, r *http.Request) {
 		if s.notLeader(w, r) {
 			return
 		}
-		dep, ok := s.ctl.Get(id)
-		if err := s.ctl.Kill(id); err != nil {
+		if err := s.kill(id); err != nil {
 			if errors.Is(err, controller.ErrNotLeader) {
 				w.Header().Set("Retry-After", "1")
 				writeErr(w, http.StatusServiceUnavailable, err)
@@ -528,9 +566,6 @@ func (s *Server) moduleByID(w http.ResponseWriter, r *http.Request) {
 			}
 			writeErr(w, http.StatusNotFound, err)
 			return
-		}
-		if s.sim != nil && ok {
-			s.sim.Unregister(dep)
 		}
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodGet:
@@ -598,7 +633,6 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 	}
 	ps := s.ctl.PipelineStatsSnapshot()
 	resp.Pipeline = &PipelineInfo{
-		Workers:  ps.Workers,
 		Compiled: ps.Compiled,
 		Fallback: ps.Fallback,
 		Reasons:  ps.Reasons,

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/in-net/innet/internal/controller"
 	"github.com/in-net/innet/internal/topology"
@@ -132,5 +133,68 @@ in -> dec -> snat -> out;
 	}
 	if len(res.Emitted) != 0 {
 		t.Errorf("malformed tunnel payload emitted: %+v", res.Emitted)
+	}
+}
+
+// TestKillDoesNotRaceDeployForFreedAddress: a DELETE frees its
+// module's address in the controller before the simulator releases
+// it. A POST that lands in that window and is handed the freed
+// address must still deploy, not fail with "address already
+// registered".
+func TestKillDoesNotRaceDeployForFreedAddress(t *testing.T) {
+	topo, err := topology.PaperFig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := controller.New(topo, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWithSimulator(ctl, NewSimulator(topo.Platforms()))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	c.Retries = 0
+
+	first, err := c.Deploy(DeployRequest{Tenant: "alice", ModuleName: "dns", Stock: "geo-dns", Trust: "third-party"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		dep *DeployResponse
+		err error
+	}
+	done := make(chan result, 1)
+	srv.testAfterKill = func() {
+		racer := NewClient(ts.URL)
+		racer.Retries = 0
+		go func() {
+			dep, err := racer.Deploy(DeployRequest{Tenant: "bob", ModuleName: "dns", Stock: "geo-dns", Trust: "third-party"})
+			done <- result{dep, err}
+		}()
+		// Let the POST run to completion unless something holds it
+		// back until the simulator has released the address.
+		select {
+		case r := <-done:
+			done <- r
+		case <-time.After(time.Second):
+		}
+	}
+	if err := c.Kill(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("deploy racing the kill: %v", r.err)
+	}
+	if r.dep.Addr != first.Addr {
+		t.Fatalf("racing deploy got %s, want the freed address %s", r.dep.Addr, first.Addr)
+	}
+	res, err := c.Inject(InjectRequest{Dst: r.dep.Addr, Proto: "udp", DstPort: 53, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Emitted) != 1 {
+		t.Fatalf("inject into the new module = %+v", res)
 	}
 }

@@ -1,7 +1,7 @@
-// Fast-path benchmark: before/after numbers for the three PR-3
-// optimizations — admission-verdict caching in the controller,
-// flow-hash sharding in the vswitch, and batched packet delivery in
-// the dataplane. The rows are real measurements on this machine; the
+// Fast-path benchmark: before/after numbers for three fast-path
+// mechanisms — admission-verdict caching in the controller, per-batch
+// locking in the vswitch, and batched packet delivery in the
+// dataplane. The rows are real measurements on this machine; the
 // JSON form (FastPathJSON) is what CI archives as BENCH_pr3.json.
 package bench
 
@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -40,19 +39,12 @@ type FastPathResult struct {
 	CacheHits              uint64  `json:"cache_hits"`
 	CacheMisses            uint64  `json:"cache_misses"`
 
-	// Dispatch: concurrent senders on one switch, 1 shard (the old
-	// single dispatch lock) vs Shards shards.
+	// Dispatch: concurrent senders on one switch, per-packet Process
+	// vs per-burst ProcessBatch.
 	DispatchGoroutines   int     `json:"dispatch_goroutines"`
-	DispatchShards       int     `json:"dispatch_shards"`
-	Dispatch1ShardPPS    float64 `json:"dispatch_1shard_pps"`
-	DispatchShardedPPS   float64 `json:"dispatch_sharded_pps"`
-	DispatchSpeedup      float64 `json:"dispatch_speedup"`
+	DispatchPPS          float64 `json:"dispatch_pps"`
 	DispatchBatchPPS     float64 `json:"dispatch_batch_pps"`
 	DispatchBatchSpeedup float64 `json:"dispatch_batch_speedup"`
-	// Affine: each sender's flows hash to its own shard (RSS-style
-	// flow steering — the deployment the sharding targets).
-	DispatchAffinePPS     float64 `json:"dispatch_affine_pps"`
-	DispatchAffineSpeedup float64 `json:"dispatch_affine_speedup"`
 
 	// Dataplane: producer/consumer handoff per packet vs per batch.
 	BatchSize           int     `json:"batch_size"`
@@ -124,30 +116,22 @@ func measureAdmission(cached bool, cycles int) (float64, symexec.CacheStats) {
 }
 
 // measureDispatch hammers one switch from g goroutines, each goroutine
-// owning distinct flows, and returns packets/sec. With affine, each
-// sender's flows are chosen to land on "its" shard (sender w mod
-// shards), modelling RSS-style flow steering where a core receives
-// the flows that hash to its queue; otherwise each sender's flows
-// spread across all shards.
-func measureDispatch(shards, g, perG int, affine bool) float64 {
-	s := vswitch.NewSharded(shards)
+// owning distinct flows, and returns packets/sec.
+func measureDispatch(g, perG int) float64 {
+	s := vswitch.New()
 	mod := packet.MustParseIP("198.51.100.10")
 	s.Install(vswitch.Rule{Priority: 10, Match: vswitch.Match{DstIP: mod}, Action: vswitch.ActToModule, Module: mod})
 	s.ToModule = func(uint32, *packet.Packet) {}
 	flows := func(w int) []*packet.Packet {
-		pkts := make([]*packet.Packet, 0, 16)
-		for port := 1024 + w; len(pkts) < cap(pkts); port++ {
-			p := &packet.Packet{
+		pkts := make([]*packet.Packet, 16)
+		for i := range pkts {
+			pkts[i] = &packet.Packet{
 				Protocol: packet.ProtoUDP,
 				SrcIP:    packet.MustParseIP("8.8.8.8"),
 				DstIP:    mod,
-				SrcPort:  uint16(port),
+				SrcPort:  uint16(1024 + w + i),
 				DstPort:  1500, TTL: 64,
 			}
-			if affine && s.ShardOf(p.Tuple()) != w%s.Shards() {
-				continue
-			}
-			pkts = append(pkts, p)
 		}
 		return pkts
 	}
@@ -167,10 +151,10 @@ func measureDispatch(shards, g, perG int, affine bool) float64 {
 	return float64(g*perG) / time.Since(start).Seconds()
 }
 
-// measureDispatchBatch is measureDispatch with per-batch table locking
+// measureDispatchBatch is measureDispatch with per-batch locking
 // (ProcessBatch) instead of per-packet Process.
-func measureDispatchBatch(shards, g, perG, batch int) float64 {
-	s := vswitch.NewSharded(shards)
+func measureDispatchBatch(g, perG, batch int) float64 {
+	s := vswitch.New()
 	mod := packet.MustParseIP("198.51.100.10")
 	s.Install(vswitch.Rule{Priority: 10, Match: vswitch.Match{DstIP: mod}, Action: vswitch.ActToModule, Module: mod})
 	s.ToModule = func(uint32, *packet.Packet) {}
@@ -190,11 +174,6 @@ func measureDispatchBatch(shards, g, perG, batch int) float64 {
 					DstPort:  1500, TTL: 64,
 				}
 			}
-			// Bursts arrive shard-grouped (per-queue NIC bursts), so
-			// ProcessBatch holds each shard lock once per run.
-			sort.SliceStable(pkts, func(i, j int) bool {
-				return s.ShardOf(pkts[i].Tuple()) < s.ShardOf(pkts[j].Tuple())
-			})
 			for done := 0; done < perG; done += batch {
 				s.ProcessBatch(pkts)
 			}
@@ -218,7 +197,6 @@ func FastPathMeasure(quick bool, batch int) *FastPathResult {
 		Format:             BenchFormat,
 		BatchSize:          batch,
 		DispatchGoroutines: 4,
-		DispatchShards:     vswitch.DefaultShards,
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		NumCPU:             runtime.NumCPU(),
 	}
@@ -230,32 +208,26 @@ func FastPathMeasure(quick bool, batch int) *FastPathResult {
 	r.CacheHits, r.CacheMisses = stats.Hits, stats.Misses
 
 	// The dispatch configurations are measured PAIRED: one trial runs
-	// all four back to back and the trial with the highest aggregate
+	// both back to back and the trial with the highest aggregate
 	// throughput — the one least perturbed by background load — supplies
 	// every dispatch figure. Independent best-of per configuration lets
 	// a noisy phase land on one side of the ratio only, which on a
 	// shared box swings the speedup by ±20%.
 	perG := pkts / r.DispatchGoroutines
-	type dispatchTrial struct{ one, sharded, affine, batch float64 }
+	type dispatchTrial struct{ one, batch float64 }
 	var bestTrial dispatchTrial
 	for i := 0; i < trials; i++ {
 		tr := dispatchTrial{
-			one:     measureDispatch(1, r.DispatchGoroutines, perG, false),
-			sharded: measureDispatch(r.DispatchShards, r.DispatchGoroutines, perG, false),
-			affine:  measureDispatch(r.DispatchShards, r.DispatchGoroutines, perG, true),
-			batch:   measureDispatchBatch(r.DispatchShards, r.DispatchGoroutines, perG, batch),
+			one:   measureDispatch(r.DispatchGoroutines, perG),
+			batch: measureDispatchBatch(r.DispatchGoroutines, perG, batch),
 		}
-		if tr.one+tr.sharded+tr.affine+tr.batch > bestTrial.one+bestTrial.sharded+bestTrial.affine+bestTrial.batch {
+		if tr.one+tr.batch > bestTrial.one+bestTrial.batch {
 			bestTrial = tr
 		}
 	}
-	r.Dispatch1ShardPPS = bestTrial.one
-	r.DispatchShardedPPS = bestTrial.sharded
-	r.DispatchSpeedup = r.DispatchShardedPPS / r.Dispatch1ShardPPS
-	r.DispatchAffinePPS = bestTrial.affine
-	r.DispatchAffineSpeedup = r.DispatchAffinePPS / r.Dispatch1ShardPPS
+	r.DispatchPPS = bestTrial.one
 	r.DispatchBatchPPS = bestTrial.batch
-	r.DispatchBatchSpeedup = r.DispatchBatchPPS / r.Dispatch1ShardPPS
+	r.DispatchBatchSpeedup = r.DispatchBatchPPS / r.DispatchPPS
 
 	run, err := dataplane.NewRunnerString(`FromNetfront() -> CheckIPHeader() -> ToNetfront()`)
 	if err != nil {
@@ -277,18 +249,16 @@ func FastPath(quick bool, batch int) *Table {
 func FastPathTable(r *FastPathResult) *Table {
 	t := &Table{
 		ID:      "PR3",
-		Title:   "fast-path admission & dispatch (cached symexec, sharded vswitch, batched dataplane)",
+		Title:   "fast-path admission & dispatch (cached symexec, batched vswitch, batched dataplane)",
 		Columns: []string{"experiment", "before", "after", "speedup"},
 	}
 	t.AddRow("admission deploy+kill (ops/s)", f1(r.AdmissionColdOpsPerSec), f1(r.AdmissionWarmOpsPerSec), f2(r.AdmissionSpeedup)+"x")
-	t.AddRow(fmt.Sprintf("dispatch %dg (Mpps)", r.DispatchGoroutines), f2(r.Dispatch1ShardPPS/1e6), f2(r.DispatchShardedPPS/1e6), f2(r.DispatchSpeedup)+"x")
-	t.AddRow(fmt.Sprintf("dispatch %dg affine (Mpps)", r.DispatchGoroutines), f2(r.Dispatch1ShardPPS/1e6), f2(r.DispatchAffinePPS/1e6), f2(r.DispatchAffineSpeedup)+"x")
-	t.AddRow(fmt.Sprintf("dispatch %dg batch=%d (Mpps)", r.DispatchGoroutines, r.BatchSize), f2(r.Dispatch1ShardPPS/1e6), f2(r.DispatchBatchPPS/1e6), f2(r.DispatchBatchSpeedup)+"x")
+	t.AddRow(fmt.Sprintf("dispatch %dg batch=%d (Mpps)", r.DispatchGoroutines, r.BatchSize), f2(r.DispatchPPS/1e6), f2(r.DispatchBatchPPS/1e6), f2(r.DispatchBatchSpeedup)+"x")
 	t.AddRow(fmt.Sprintf("dataplane batch=%d (Mpps)", r.BatchSize), f2(r.DataplanePerPktPPS/1e6), f2(r.DataplaneBatchedPPS/1e6), f2(r.DataplaneSpeedup)+"x")
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("admission cache: %d hits / %d misses over the warm run", r.CacheHits, r.CacheMisses),
-		fmt.Sprintf("%d shards, %d senders, GOMAXPROCS=%d, NumCPU=%d", r.DispatchShards, r.DispatchGoroutines, r.GOMAXPROCS, r.NumCPU),
-		"before = cache disabled / 1 shard / per-packet handoff; after = defaults")
+		fmt.Sprintf("%d senders, GOMAXPROCS=%d, NumCPU=%d", r.DispatchGoroutines, r.GOMAXPROCS, r.NumCPU),
+		"before = cache disabled / per-packet Process / per-packet handoff; after = defaults")
 	return t
 }
 

@@ -49,7 +49,6 @@ func NewHistoryEntry(commit, env string) *HistoryEntry {
 // RecordFastPath folds the fast-path suite's gated headline numbers in.
 func (e *HistoryEntry) RecordFastPath(r *FastPathResult) {
 	e.Metrics["dispatch_batch_pps"] = r.DispatchBatchPPS
-	e.Metrics["dispatch_sharded_pps"] = r.DispatchShardedPPS
 	e.Metrics["dataplane_batched_pps"] = r.DataplaneBatchedPPS
 	e.Metrics["admission_cold_ops_per_sec"] = r.AdmissionColdOpsPerSec
 	e.Metrics["admission_warm_ops_per_sec"] = r.AdmissionWarmOpsPerSec

@@ -3,10 +3,8 @@
 // sides measure PURE dispatch — packets are pre-stamped, no producer
 // goroutine, no pool traffic — so the ratio isolates what the
 // flattening buys: monomorphic kernels and batch sweeps instead of a
-// per-packet interface call per element. The worker sweep drives the
-// affinity-partitioned Engine at 1/2/4/8 workers (on a single-core
-// box the curve is flat; the report records GOMAXPROCS so readers can
-// tell). Serialized to BENCH_pipeline.json by innet-bench
+// per-packet interface call per element. Serialized to
+// BENCH_pipeline.json by innet-bench
 // -pipeline-json (docs/FORMATS.md §13).
 package bench
 
@@ -48,13 +46,6 @@ type PipelineBatchRow struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-// PipelineWorkerRow is one engine width's throughput.
-type PipelineWorkerRow struct {
-	Workers int     `json:"workers"`
-	PPS     float64 `json:"pps"`
-	Speedup float64 `json:"speedup_vs_1"`
-}
-
 // PipelineResult is the machine-readable form of the pipeline bench
 // (BENCH_pipeline.json).
 type PipelineResult struct {
@@ -73,9 +64,6 @@ type PipelineResult struct {
 	GraphPPS          float64 `json:"graph_pps"`
 	CompiledPPS       float64 `json:"compiled_pps"`
 	SingleCoreSpeedup float64 `json:"single_core_speedup"`
-
-	// Workers sweeps the affinity-partitioned engine.
-	Workers []PipelineWorkerRow `json:"workers"`
 
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
@@ -166,50 +154,7 @@ func measurePipelineCompiled(n, batch int) float64 {
 	return float64(rounds*batch) / time.Since(start).Seconds()
 }
 
-// measurePipelineEngine drives an affinity-partitioned engine of the
-// given width: the producer stamps and submits rounds of pre-built
-// batches and drains once per round, so the barrier cost is amortized
-// across the round's batches.
-func measurePipelineEngine(workers, n, batch int) float64 {
-	eng, err := pipeline.NewEngineString(pipelineBenchConfig, pipeline.Config{
-		Workers:  workers,
-		Transmit: func(worker, iface int, p *packet.Packet) {},
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer eng.Close()
-	const roundBatches = 64
-	round := make([][]*packet.Packet, roundBatches)
-	for i := range round {
-		pkts := pipelineFlows(batch)
-		// Distinct flows per batch so the partitioner spreads work.
-		for j, pk := range pkts {
-			pk.SrcPort = uint16(1024 + i*batch + j)
-		}
-		round[i] = pkts
-	}
-	perRound := roundBatches * batch
-	rounds := n / perRound
-	if rounds < 1 {
-		rounds = 1
-	}
-	run := func(k int) {
-		for i := 0; i < k; i++ {
-			for _, pkts := range round {
-				resetTTLs(pkts)
-				eng.Dispatch(0, pkts)
-			}
-			eng.Drain()
-		}
-	}
-	run(2) // warm up
-	start := time.Now()
-	run(rounds)
-	return float64(rounds*perRound) / time.Since(start).Seconds()
-}
-
-// PipelineMeasure runs the batch sweep and the worker sweep. quick
+// PipelineMeasure runs the batch sweep and the headline pair. quick
 // shrinks the packet counts; cfg supplies the burst ladder and the
 // headline burst size.
 func PipelineMeasure(quick bool, cfg BatchConfig) *PipelineResult {
@@ -253,17 +198,6 @@ func PipelineMeasure(quick bool, cfg BatchConfig) *PipelineResult {
 	r.GraphPPS = best(func() float64 { return measurePipelineGraph(n, r.BatchSize) })
 	r.CompiledPPS = best(func() float64 { return measurePipelineCompiled(n, r.BatchSize) })
 	r.SingleCoreSpeedup = r.CompiledPPS / r.GraphPPS
-
-	var one float64
-	for _, w := range []int{1, 2, 4, 8} {
-		pps := best(func() float64 { return measurePipelineEngine(w, n, r.BatchSize) })
-		if w == 1 {
-			one = pps
-		}
-		r.Workers = append(r.Workers, PipelineWorkerRow{
-			Workers: w, PPS: pps, Speedup: pps / one,
-		})
-	}
 	return r
 }
 
@@ -276,20 +210,16 @@ func Pipeline(quick bool, cfg BatchConfig) *Table {
 func PipelineTable(r *PipelineResult) *Table {
 	t := &Table{
 		ID:      "PIPELINE",
-		Title:   "compiled run-to-completion pipeline vs graph walk (single core + worker sweep)",
+		Title:   "compiled run-to-completion pipeline vs graph walk (single core)",
 		Columns: []string{"experiment", "graph (Mpps)", "compiled (Mpps)", "speedup"},
 	}
 	for _, row := range r.Batches {
 		t.AddRow(fmt.Sprintf("dispatch batch=%d", row.BatchSize),
 			f2(row.GraphPPS/1e6), f2(row.CompiledPPS/1e6), f2(row.Speedup)+"x")
 	}
-	for _, row := range r.Workers {
-		t.AddRow(fmt.Sprintf("engine workers=%d batch=%d", row.Workers, r.BatchSize),
-			"-", f2(row.PPS/1e6), f2(row.Speedup)+"x vs 1w")
-	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("chain: %d compiled stages (%d fused); headline batch=%d speedup %.2fx", len(r.Stages), r.FusedStages, r.BatchSize, r.SingleCoreSpeedup),
-		fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d (worker scaling is flat on a single-core box)", r.GOMAXPROCS, r.NumCPU))
+		fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d", r.GOMAXPROCS, r.NumCPU))
 	return t
 }
 

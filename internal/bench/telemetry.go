@@ -39,7 +39,6 @@ type TelemetryResult struct {
 	// Dispatch throughput with no registry vs with a registry attached
 	// and a scraper rendering the exposition every 5ms.
 	DispatchGoroutines  int     `json:"dispatch_goroutines"`
-	DispatchShards      int     `json:"dispatch_shards"`
 	DispatchDisabledPPS float64 `json:"dispatch_disabled_pps"`
 	DispatchEnabledPPS  float64 `json:"dispatch_enabled_pps"`
 	// DispatchOverheadPct is (disabled-enabled)/disabled*100; negative
@@ -72,8 +71,8 @@ type TelemetryResult struct {
 // measureDispatchTelemetry is measureDispatch with an optional
 // registry + continuous scraper attached. Returns the elapsed send
 // time and the number of exposition renders that ran during it.
-func measureDispatchTelemetry(shards, g, perG int, enabled bool) (time.Duration, uint64) {
-	s := vswitch.NewSharded(shards)
+func measureDispatchTelemetry(g, perG int, enabled bool) (time.Duration, uint64) {
+	s := vswitch.New()
 	mod := packet.MustParseIP("198.51.100.10")
 	s.Install(vswitch.Rule{Priority: 10, Match: vswitch.Match{DstIP: mod}, Action: vswitch.ActToModule, Module: mod})
 	s.ToModule = func(uint32, *packet.Packet) {}
@@ -233,14 +232,13 @@ func TelemetryMeasure(quick bool) *TelemetryResult {
 	r := &TelemetryResult{
 		Format:             BenchFormat,
 		DispatchGoroutines: 4,
-		DispatchShards:     vswitch.DefaultShards,
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		NumCPU:             runtime.NumCPU(),
 	}
 	perG := pkts / r.DispatchGoroutines
 	// Untimed warm-up so the first timed round doesn't absorb runtime
 	// and allocator warm-up that later rounds skip.
-	measureDispatchTelemetry(r.DispatchShards, r.DispatchGoroutines, perG/4, false)
+	measureDispatchTelemetry(r.DispatchGoroutines, perG/4, false)
 	// The two sides run as many short interleaved rounds rather than
 	// one long run each: scheduler and frequency drift then lands on
 	// both sides of the ratio instead of whichever ran second.
@@ -254,8 +252,8 @@ func TelemetryMeasure(quick bool) *TelemetryResult {
 	for i := 0; i < trials; i++ {
 		var cur trial
 		for j := 0; j < rounds; j++ {
-			off, _ := measureDispatchTelemetry(r.DispatchShards, r.DispatchGoroutines, perRound, false)
-			on, scrapes := measureDispatchTelemetry(r.DispatchShards, r.DispatchGoroutines, perRound, true)
+			off, _ := measureDispatchTelemetry(r.DispatchGoroutines, perRound, false)
+			on, scrapes := measureDispatchTelemetry(r.DispatchGoroutines, perRound, true)
 			cur.off += off
 			cur.on += on
 			cur.scrapes += scrapes
@@ -342,7 +340,7 @@ func TelemetryTable(r *TelemetryResult) *Table {
 		fmt.Sprintf("%.1f%%", r.PathTraceOverheadPct))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("enabled side scraped the full exposition %d times (every %v) during dispatch", r.Scrapes, benchScrapeInterval),
-		fmt.Sprintf("%d shards, %d senders, GOMAXPROCS=%d, NumCPU=%d", r.DispatchShards, r.DispatchGoroutines, r.GOMAXPROCS, r.NumCPU),
+		fmt.Sprintf("%d senders, GOMAXPROCS=%d, NumCPU=%d", r.DispatchGoroutines, r.GOMAXPROCS, r.NumCPU),
 		"admission side: stage histograms + span tracer attached, cache disabled (full pipeline per cycle)",
 		fmt.Sprintf("pathtrace side: compiled Exec, burst %d with rotating head, %d traces committed", r.PathTraceBatch, r.PathTraces))
 	return t

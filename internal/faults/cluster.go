@@ -103,7 +103,7 @@ func NewClusterWithOptions(seed int64, topo *topology.Topology, operatorPolicy, 
 	}
 	for _, name := range topo.Platforms() {
 		p := platform.New(c.Sim, platform.DefaultModel(), 16*1024)
-		sw := vswitch.NewSharded(vswitch.DefaultShards)
+		sw := vswitch.New()
 		sw.ToModule = func(module uint32, pk *packet.Packet) {
 			p.Deliver(pk, c.recv)
 		}

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/in-net/innet/internal/click"
@@ -29,18 +28,13 @@ ttl[1] -> d;
 
 const pipelineChaosModule = uint32(0xc0000205)
 
-// chaosEgress records per-flow egress sequences; the engine's workers
-// call Transmit concurrently, so appends are locked (per-flow order is
-// still deterministic: a flow never leaves its worker).
+// chaosEgress records per-flow egress sequences.
 type chaosEgress struct {
-	mu   sync.Mutex
 	flow map[uint32][]string
 }
 
 func (r *chaosEgress) record(iface int, p *packet.Packet) {
-	r.mu.Lock()
 	r.flow[p.UserID] = append(r.flow[p.UserID], fmt.Sprintf("i%d ttl=%d %s", iface, p.TTL, p.Payload))
-	r.mu.Unlock()
 }
 
 // pipelineChaosSchedule builds a seeded traffic/outage script: bursts
@@ -98,19 +92,13 @@ func pipelineChaosSchedule(seed int64) []chaosEvent {
 	return ev
 }
 
-// runPipelineChaosGraph replays the schedule through the per-packet
-// sink and the ordinary graph walk (the reference semantics).
-func runPipelineChaosGraph(t *testing.T, sched []chaosEvent) (map[uint32][]string, *elements.Counter) {
-	t.Helper()
-	r := click.MustBuildString(pipelineChaosChain)
-	eg := &chaosEgress{flow: map[uint32][]string{}}
-	ctx := &click.Context{Transmit: eg.record}
-	s := vswitch.NewSharded(4)
+// runPipelineChaos replays the schedule through a switch whose
+// to-module sink is deliver.
+func runPipelineChaos(sched []chaosEvent, deliver func(p *packet.Packet)) {
+	s := vswitch.New()
 	s.Install(vswitch.Rule{Priority: 1, Match: vswitch.Match{DstIP: pipelineChaosModule},
 		Action: vswitch.ActToModule, Module: pipelineChaosModule})
-	s.ToModule = func(mod uint32, p *packet.Packet) {
-		_ = r.Inject(ctx, 0, p)
-	}
+	s.ToModule = func(_ uint32, p *packet.Packet) { deliver(p) }
 	for _, e := range sched {
 		switch {
 		case e.down:
@@ -121,92 +109,62 @@ func runPipelineChaosGraph(t *testing.T, sched []chaosEvent) (map[uint32][]strin
 			s.ProcessBatch(e.pkts)
 		}
 	}
-	return eg.flow, r.Element("cnt").(*elements.Counter)
-}
-
-// runPipelineChaosEngine replays the same schedule in pipeline mode:
-// the switch's batch sink feeds an affinity-partitioned engine.
-func runPipelineChaosEngine(t *testing.T, sched []chaosEvent, workers int) (map[uint32][]string, *pipeline.Engine) {
-	t.Helper()
-	eg := &chaosEgress{flow: map[uint32][]string{}}
-	eng, err := pipeline.NewEngineString(pipelineChaosChain, pipeline.Config{
-		Workers: workers,
-		Transmit: func(worker, iface int, p *packet.Packet) {
-			eg.record(iface, p)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := vswitch.NewSharded(4)
-	s.Install(vswitch.Rule{Priority: 1, Match: vswitch.Match{DstIP: pipelineChaosModule},
-		Action: vswitch.ActToModule, Module: pipelineChaosModule})
-	s.ToModuleBatch = func(mod uint32, pkts []*packet.Packet) {
-		eng.Dispatch(0, pkts)
-	}
-	for _, e := range sched {
-		switch {
-		case e.down:
-			// "Mid-batch": the engine may still be chewing the first
-			// half of the burst when the outage opens. Drain so the
-			// buffered-vs-processed split is the event boundary, as it
-			// is for the synchronous graph walk.
-			eng.Drain()
-			s.SetDown(true)
-		case e.up:
-			s.SetDown(false)
-		default:
-			s.ProcessBatch(e.pkts)
-		}
-	}
-	eng.Drain()
-	return eg.flow, eng
 }
 
 // TestChaosPipelineOutageReplay drives seeded outage schedules through
 // graph-walk and compiled-pipeline modes and requires identical
 // per-flow egress (payload order and TTL rewrites) and element state.
 // The switch buffers during the outage and replays on recovery in both
-// modes; the pipeline engine must preserve that per-flow story at
-// every worker width.
+// modes; the compiled Exec the platform runs must preserve that
+// per-flow story.
 func TestChaosPipelineOutageReplay(t *testing.T) {
 	seeds := []int64{1, 7, 23, 51, 94}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				// Same seed, fresh packet objects per run: both modes
-				// mutate the packets they carry (DecIPTTL).
-				wantFlows, wantCnt := runPipelineChaosGraph(t, pipelineChaosSchedule(seed))
-				gotFlows, eng := runPipelineChaosEngine(t, pipelineChaosSchedule(seed), workers)
-				defer eng.Close()
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			// Same seed, fresh packet objects per run: both modes
+			// mutate the packets they carry (DecIPTTL).
+			r := click.MustBuildString(pipelineChaosChain)
+			want := &chaosEgress{flow: map[uint32][]string{}}
+			ctx := &click.Context{Transmit: want.record}
+			runPipelineChaos(pipelineChaosSchedule(seed), func(p *packet.Packet) {
+				_ = r.Inject(ctx, 0, p)
+			})
+			wantCnt := r.Element("cnt").(*elements.Counter)
 
-				if len(gotFlows) != len(wantFlows) {
-					t.Fatalf("flows: got %d want %d", len(gotFlows), len(wantFlows))
-				}
-				for f, want := range wantFlows {
-					got := gotFlows[f]
-					if len(got) != len(want) {
-						t.Fatalf("flow %d: %d egresses, want %d", f, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("flow %d egress %d: got %q want %q", f, i, got[i], want[i])
-						}
-					}
-				}
-				var pkts, bytes uint64
-				for w := 0; w < eng.Workers(); w++ {
-					c := eng.Router(w).Element("cnt").(*elements.Counter)
-					pkts += c.Packets
-					bytes += c.Bytes
-				}
-				if pkts != wantCnt.Packets || bytes != wantCnt.Bytes {
-					t.Fatalf("counter: engine %d/%d, graph %d/%d", pkts, bytes, wantCnt.Packets, wantCnt.Bytes)
+			prog, err := pipeline.CompileConfig(pipelineChaosChain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := pipeline.NewExec(prog)
+			got := &chaosEgress{flow: map[uint32][]string{}}
+			x.Transmit = got.record
+			runPipelineChaos(pipelineChaosSchedule(seed), func(p *packet.Packet) {
+				if err := x.RunOne(0, p); err != nil {
+					t.Fatal(err)
 				}
 			})
-		}
+			gotCnt := prog.Router().Element("cnt").(*elements.Counter)
+
+			if len(got.flow) != len(want.flow) {
+				t.Fatalf("flows: got %d want %d", len(got.flow), len(want.flow))
+			}
+			for f, w := range want.flow {
+				g := got.flow[f]
+				if len(g) != len(w) {
+					t.Fatalf("flow %d: %d egresses, want %d", f, len(g), len(w))
+				}
+				for i := range w {
+					if g[i] != w[i] {
+						t.Fatalf("flow %d egress %d: got %q want %q", f, i, g[i], w[i])
+					}
+				}
+			}
+			if gotCnt.Packets != wantCnt.Packets || gotCnt.Bytes != wantCnt.Bytes {
+				t.Fatalf("counter: compiled %d/%d, graph %d/%d", gotCnt.Packets, gotCnt.Bytes, wantCnt.Packets, wantCnt.Bytes)
+			}
+		})
 	}
 }

@@ -90,8 +90,7 @@ type wiring interface {
 }
 
 // Program is a compiled router. A Program itself is immutable; run it
-// through an Exec (single worker) or an Engine (N workers with flow
-// affinity).
+// through an Exec.
 type Program struct {
 	router *click.Router
 	stages []stage

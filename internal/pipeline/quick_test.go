@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -11,11 +10,11 @@ import (
 	"github.com/in-net/innet/internal/packet"
 )
 
-// The flow-affinity property: partitioning traffic across N pipeline
-// workers by AffinityHash leaves every stateful element's per-flow
-// state exactly as a sequential graph-walk over one router would,
-// because each flow (and its reverse) is owned by a single worker and
-// processed in submission order.
+// The stateful-equivalence property: running a schedule of forward
+// and reply packets through the compiled Exec leaves every stateful
+// element's per-flow state exactly as the graph walk over one router
+// would — the check that admission's verdict, proved on the graph,
+// holds for the pipeline the platform runs.
 //
 // The property is checked with testing/quick over a seeded generator:
 // each sample is a random schedule of forward and reply packets over a
@@ -91,11 +90,10 @@ func cloneEvent(ev quickEvent) *packet.Packet {
 }
 
 func TestQuickFlowAffinityStateEquivalence(t *testing.T) {
-	prop := func(seed int64, workerBits uint8) bool {
+	prop := func(seed int64) bool {
 		evs := genSchedule(seed)
-		workers := 1 << (workerBits % 4) // 1, 2, 4, 8
 
-		// Sequential reference: one router, one goroutine, graph walk.
+		// Reference: one router, graph walk.
 		gr := click.MustBuildString(quickConfig)
 		var gnow int64
 		gctx := &click.Context{Now: func() int64 { return gnow }}
@@ -106,64 +104,50 @@ func TestQuickFlowAffinityStateEquivalence(t *testing.T) {
 			}
 		}
 
-		// Engine: same schedule partitioned across workers. Drain after
-		// every submission so virtual time advances identically for
-		// every worker's kernels.
-		var enow atomic.Int64
-		eng, err := NewEngineString(quickConfig, Config{
-			Workers: workers,
-			Now:     func() int64 { return enow.Load() },
-		})
+		// Compiled: the same schedule through one Exec, one packet per
+		// Run, as the platform delivers it.
+		prog, err := CompileConfig(quickConfig)
 		if err != nil {
-			t.Fatalf("engine: %v", err)
+			t.Fatalf("compile: %v", err)
 		}
-		defer eng.Close()
+		x := NewExec(prog)
+		var xnow int64
+		x.Now = func() int64 { return xnow }
 		for _, ev := range evs {
-			enow.Store(ev.now)
-			eng.Dispatch(ev.src, []*packet.Packet{cloneEvent(ev)})
-			eng.Drain()
+			xnow = ev.now
+			if err := x.RunOne(ev.src, cloneEvent(ev)); err != nil {
+				t.Fatalf("run: %v", err)
+			}
 		}
 
 		gfw := gr.Element("fw").(*elements.StatefulFirewall)
 		gfm := gr.Element("fm").(*elements.FlowMeter)
+		xfw := prog.Router().Element("fw").(*elements.StatefulFirewall)
+		xfm := prog.Router().Element("fm").(*elements.FlowMeter)
 
-		// Per-flow state must match the worker that owns the flow.
 		for _, ev := range evs {
 			tup := ev.pk.Tuple()
 			if ev.src == 1 {
 				tup = tup.Reverse() // firewall state is keyed by the forward tuple
 			}
-			w := eng.WorkerOf(ev.pk)
-			wfw := eng.Router(w).Element("fw").(*elements.StatefulFirewall)
-			wfm := eng.Router(w).Element("fm").(*elements.FlowMeter)
 			gls, gok := gfw.LastSeen(tup)
-			wls, wok := wfw.LastSeen(tup)
-			if gok != wok || gls != wls {
-				t.Logf("seed=%d workers=%d flow=%v firewall last-seen: graph=(%d,%v) engine=(%d,%v)",
-					seed, workers, tup, gls, gok, wls, wok)
+			xls, xok := xfw.LastSeen(tup)
+			if gok != xok || gls != xls {
+				t.Logf("seed=%d flow=%v firewall last-seen: graph=(%d,%v) compiled=(%d,%v)",
+					seed, tup, gls, gok, xls, xok)
 				return false
 			}
 			gp, gb, gok := gfm.Stats(tup)
-			wp, wb, wok := wfm.Stats(tup)
-			if gok != wok || gp != wp || gb != wb {
-				t.Logf("seed=%d workers=%d flow=%v meter: graph=(%d,%d,%v) engine=(%d,%d,%v)",
-					seed, workers, tup, gp, gb, gok, wp, wb, wok)
+			xp, xb, xok := xfm.Stats(tup)
+			if gok != xok || gp != xp || gb != xb {
+				t.Logf("seed=%d flow=%v meter: graph=(%d,%d,%v) compiled=(%d,%d,%v)",
+					seed, tup, gp, gb, gok, xp, xb, xok)
 				return false
 			}
 		}
-
-		// Aggregates: flows partition disjointly across workers, so the
-		// sums must equal the sequential totals.
-		var active, metered int
-		var blocked uint64
-		for w := 0; w < eng.Workers(); w++ {
-			active += eng.Router(w).Element("fw").(*elements.StatefulFirewall).ActiveFlows()
-			metered += eng.Router(w).Element("fm").(*elements.FlowMeter).Flows()
-			blocked += eng.Router(w).Element("fw").(*elements.StatefulFirewall).Blocked
-		}
-		if active != gfw.ActiveFlows() || metered != gfm.Flows() || blocked != gfw.Blocked {
-			t.Logf("seed=%d workers=%d totals: graph active=%d metered=%d blocked=%d engine active=%d metered=%d blocked=%d",
-				seed, workers, gfw.ActiveFlows(), gfm.Flows(), gfw.Blocked, active, metered, blocked)
+		if xfw.ActiveFlows() != gfw.ActiveFlows() || xfm.Flows() != gfm.Flows() || xfw.Blocked != gfw.Blocked {
+			t.Logf("seed=%d totals: graph active=%d metered=%d blocked=%d compiled active=%d metered=%d blocked=%d",
+				seed, gfw.ActiveFlows(), gfm.Flows(), gfw.Blocked, xfw.ActiveFlows(), xfm.Flows(), xfw.Blocked)
 			return false
 		}
 		return true

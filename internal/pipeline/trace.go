@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math/bits"
 	"strconv"
 
 	"github.com/in-net/innet/internal/packet"
@@ -47,6 +48,21 @@ func (r DropReason) String() string { return dropReasonNames[r] }
 // Exec.DropsBy.
 func DropReasonNames() []string { return dropReasonNames[:] }
 
+// AffinityHash maps a five-tuple and its exact reverse to the same
+// 64-bit hash: the two endpoints are order-normalized before mixing,
+// then spread with a Fibonacci multiplier. Path-trace sampling keys
+// on it, so a flow and its replies (which stateful elements look up
+// under the reversed tuple) are traced together or not at all.
+func AffinityHash(t packet.FiveTuple) uint64 {
+	a := uint64(t.SrcIP)<<16 | uint64(t.SrcPort)
+	b := uint64(t.DstIP)<<16 | uint64(t.DstPort)
+	if a > b {
+		a, b = b, a
+	}
+	h := a ^ bits.RotateLeft64(b, 23) ^ uint64(t.Protocol)<<56
+	return h * 0x9e3779b97f4a7c15
+}
+
 // EnablePathTrace arms flow-sampled path tracing: the head packet of
 // each injected batch is hashed with AffinityHash, and a packet whose
 // flow lands on the 1-in-every residue is run alone through a traced
@@ -56,9 +72,8 @@ func DropReasonNames() []string { return dropReasonNames[:] }
 // owner goroutine must not be running it concurrently.
 //
 // Hashing only the batch head keeps the attached-but-unsampled cost
-// to one hash per batch instead of one per packet; flow-affinity
-// dispatch rotates flows through the head slot, and per-packet
-// delivery paths (RunOne) make every packet a head. Sampling stays
+// to one hash per batch instead of one per packet; the platform's
+// per-packet delivery path (RunOne) makes every packet a head. Sampling stays
 // deterministic per flow: a flow whose hash misses the residue is
 // never traced, one that matches is traced whenever it heads a batch.
 func (x *Exec) EnablePathTrace(ring *telemetry.PathRing, every int) {

@@ -982,29 +982,3 @@ func (p *Platform) DroppedTotal() uint64 {
 	return p.DroppedNoModule + p.DroppedNoMemory + p.DroppedBufferFull +
 		p.DroppedTimeout + p.DroppedDown + p.DroppedInFlight
 }
-
-// DeliverBatch steers a burst of packets, amortizing the per-packet
-// datapath bookkeeping: consecutive packets for the same module
-// address reuse the resolved guest instead of re-walking the address
-// and spec tables. Side effects (boot, resume, processing) are
-// scheduled in virtual time exactly as Deliver would — nothing inside
-// the loop advances the simulation, so the memo cannot go stale
-// mid-batch; it is re-validated against the guest's state anyway.
-func (p *Platform) DeliverBatch(pkts []*packet.Packet, out func(iface int, pk *packet.Packet)) {
-	var (
-		lastAddr uint32
-		lastVM   *VM
-	)
-	for _, pkt := range pkts {
-		if lastVM != nil && pkt.DstIP == lastAddr && !p.down && lastVM.State == VMRunning {
-			p.process(lastVM, pkt, out)
-			continue
-		}
-		p.Deliver(pkt, out)
-		if vm := p.byAddr[pkt.DstIP]; vm != nil && vm.State == VMRunning {
-			lastAddr, lastVM = pkt.DstIP, vm
-		} else {
-			lastVM = nil
-		}
-	}
-}

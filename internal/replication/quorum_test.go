@@ -178,6 +178,13 @@ func TestQuorumElectionAfterLeaderCrash(t *testing.T) {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 	}
+	// A deploy commits once the leader and ONE follower hold it, so
+	// group[1] may still lag the leader here. The survivor then
+	// rightly refuses its vote (candidate log behind its own), so the
+	// candidate must hold the whole log before the leader dies.
+	waitFor(t, "candidate catch-up", func() bool {
+		return group[1].store.Seq() == group[0].store.Seq()
+	})
 	group[0].node.Close()
 	group[0].store.Close()
 

@@ -11,7 +11,7 @@ import (
 // union as one Prometheus family — innet_drops_total{site,reason} —
 // plus a JSON rollup for /v1/health. The hub owns no counters of its
 // own: subsystems keep whatever counter representation their hot path
-// wants (plain uint64 under a lock, atomics, sharded sums) and the
+// wants (plain uint64 under a lock, atomics) and the
 // hub only reads them at scrape time, so attribution adds nothing to
 // any packet path.
 //

@@ -256,7 +256,7 @@ func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
 
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time — the bridge for subsystems that already maintain
-// their own monotonic counters (vswitch shards, platform lifecycle
+// their own monotonic counters (vswitch dispatch, platform lifecycle
 // counters, the journal). fn must be safe to call from any goroutine.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labelPairs ...string) {
 	if r == nil {

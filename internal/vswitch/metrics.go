@@ -30,20 +30,17 @@ func (s *Switch) RegisterMetrics(r *telemetry.Registry, labelPairs ...string) {
 		"Outage-buffered packets replayed after platform recovery.",
 		func() float64 { return float64(s.Redispatched()) }, labelPairs...)
 	r.GaugeFunc("innet_vswitch_buffered",
-		"Packets currently parked in the outage buffers.",
+		"Packets currently parked in the outage buffer.",
 		func() float64 { return float64(s.Buffered()) }, labelPairs...)
 	r.GaugeFunc("innet_vswitch_rules",
 		"Flow-table rules currently installed.",
 		func() float64 { return float64(s.Rules()) }, labelPairs...)
-	r.GaugeFunc("innet_vswitch_shards",
-		"Dispatch shards in this switch.",
-		func() float64 { return float64(s.Shards()) }, labelPairs...)
 }
 
 // RegisterDrops wires the switch's two drop classes into the unified
 // drop-attribution hub under site "vswitch": flow-table misses
 // (no_rule) and outage-buffer overflow (buffer_overflow). The readers
-// are the lock-free shard sums dispatch already maintains.
+// are the lock-free counters dispatch already maintains.
 func (s *Switch) RegisterDrops(d *telemetry.Drops) {
 	if d == nil {
 		return

@@ -56,6 +56,20 @@ func TestDownBufferBounded(t *testing.T) {
 	if s.DroppedDown() != 3 {
 		t.Errorf("DroppedDown = %d, want 3", s.DroppedDown())
 	}
+	s.SetDown(false)
+	if s.Buffered() != 0 || s.Redispatched() != 2 {
+		t.Errorf("after recovery: buffered = %d, redispatched = %d, want 0, 2", s.Buffered(), s.Redispatched())
+	}
+	// A second outage accumulates: nothing from the first is counted
+	// again, and the buffer bound applies afresh.
+	s.SetDown(true)
+	for i := 0; i < 3; i++ {
+		s.Process(udpPkt("10.0.0.1", 53))
+	}
+	s.SetDown(false)
+	if s.Redispatched() != 4 || s.DroppedDown() != 4 {
+		t.Errorf("after second outage: redispatched = %d, dropped = %d, want 4, 4", s.Redispatched(), s.DroppedDown())
+	}
 }
 
 func TestSetDownIdempotent(t *testing.T) {

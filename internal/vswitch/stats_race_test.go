@@ -9,15 +9,14 @@ import (
 	"github.com/in-net/innet/internal/telemetry"
 )
 
-// TestStatsRaceWithDispatch is the satellite audit's regression test:
-// PerShard, DroppedDown and the other aggregate accessors must be
-// safe — and under -race, provably so — while ProcessBatch and
-// Process are concurrently mutating per-shard counters, including
-// during an outage (buffering/overflow) and recovery (replay). The
-// accessors are wait-free atomics, so this also pins that a stats
-// scrape cannot deadlock or serialize against dispatch.
+// TestStatsRaceWithDispatch: DroppedDown and the other counter
+// accessors must be safe — and under -race, provably so — while
+// ProcessBatch and Process are concurrently mutating the counters,
+// including during an outage (buffering/overflow) and recovery
+// (replay). The accessors are wait-free atomics, so this also pins
+// that a stats scrape cannot deadlock or serialize against dispatch.
 func TestStatsRaceWithDispatch(t *testing.T) {
-	s := NewSharded(4)
+	s := New()
 	s.BufferLimit = 64
 	mod := packet.MustParseIP("198.51.100.10")
 	s.Install(Rule{Priority: 10, Match: Match{DstIP: mod}, Action: ActToModule, Module: mod})
@@ -70,8 +69,8 @@ func TestStatsRaceWithDispatch(t *testing.T) {
 			s.SetDown(false)
 		}
 	}()
-	// Stats reader: raw accessors, the per-shard snapshot, and a full
-	// telemetry scrape, hammered until every writer is done.
+	// Stats reader: raw accessors and a full telemetry scrape,
+	// hammered until every writer is done.
 	stopReader := make(chan struct{})
 	var reader sync.WaitGroup
 	reader.Add(1)
@@ -84,7 +83,7 @@ func TestStatsRaceWithDispatch(t *testing.T) {
 				return
 			default:
 			}
-			_ = s.PerShard()
+			_ = s.Rules()
 			_ = s.DroppedDown()
 			_ = s.Misses()
 			_ = s.NewFlows()
@@ -98,48 +97,4 @@ func TestStatsRaceWithDispatch(t *testing.T) {
 	writers.Wait()
 	close(stopReader)
 	reader.Wait()
-}
-
-// TestPerShardAccountingStillConsistent re-checks, after the counters
-// moved to atomics, that the per-shard figures still sum to the
-// aggregates once dispatch has quiesced.
-func TestPerShardAccountingStillConsistent(t *testing.T) {
-	s := NewSharded(4)
-	mod := packet.MustParseIP("198.51.100.10")
-	s.Install(Rule{Priority: 10, Match: Match{DstIP: mod}, Action: ActToModule, Module: mod})
-	var delivered uint64
-	s.ToModule = func(uint32, *packet.Packet) { delivered++ }
-	other := packet.MustParseIP("203.0.113.7")
-	for i := 0; i < 200; i++ {
-		s.Process(&packet.Packet{
-			Protocol: packet.ProtoUDP,
-			SrcIP:    packet.MustParseIP("8.8.8.8"),
-			DstIP:    mod,
-			SrcPort:  uint16(1024 + i), DstPort: 1500, TTL: 64,
-		})
-		// Every third packet targets an address with no rule: a miss.
-		if i%3 == 0 {
-			s.Process(&packet.Packet{
-				Protocol: packet.ProtoUDP,
-				SrcIP:    packet.MustParseIP("8.8.8.8"),
-				DstIP:    other,
-				SrcPort:  uint16(5000 + i), DstPort: 1500, TTL: 64,
-			})
-		}
-	}
-	var misses, newFlows, dispatched uint64
-	for _, st := range s.PerShard() {
-		misses += st.Misses
-		newFlows += st.NewFlows
-		dispatched += st.Dispatched
-	}
-	if misses != s.Misses() || misses != 67 {
-		t.Errorf("misses: per-shard %d, aggregate %d, want 67", misses, s.Misses())
-	}
-	if newFlows != s.NewFlows() || newFlows != 267 {
-		t.Errorf("new flows: per-shard %d, aggregate %d, want 267", newFlows, s.NewFlows())
-	}
-	if dispatched != s.Dispatched() || dispatched != delivered {
-		t.Errorf("dispatched: per-shard %d, aggregate %d, delivered %d", dispatched, s.Dispatched(), delivered)
-	}
 }
